@@ -10,7 +10,11 @@
 #           (scripts/run_tsan.sh, build-tsan)
 #   bench   bench_scalability fast path (PREFDB_BENCH_ONLY=native at a tiny
 #           scale) — fails if BENCH_native.json stops carrying the
-#           native-operator phase rows and native.* span names
+#           native-operator phase rows and native.* span names; then
+#           perfbench (perfbench/run.py): its checker selftest, and each of
+#           the three workloads for 3 s, every answer checked against the
+#           independent reference evaluator — fails unless the result line
+#           reports "correct": true and "failed": 0
 #   telemetry  boots tools/telemetry_smoke (real HTTP server on an ephemeral
 #           port), curls /healthz and /metrics, checks the Prometheus
 #           exposition carries the pref_* metric families, and validates the
@@ -102,6 +106,21 @@ if [ "$RUN_BENCH" -eq 1 ]; then
       echo "bench gate: '$needle' missing from BENCH_native.json" >&2
       exit 1
     fi
+  done
+
+  echo "== bench: perfbench selftest + checked workloads =="
+  python3 perfbench/run.py --selftest
+  for workload in table2-serial table2-parallel personalized-cached; do
+    result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+                --seconds 3 --trace 0 | tail -n 1)"
+    if ! printf '%s' "$result" | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)'; then
+      echo "bench gate: perfbench $workload not correct: $result" >&2
+      exit 1
+    fi
+    echo "perfbench $workload: correct, 0 failed"
   done
 fi
 

@@ -142,11 +142,11 @@ inline Status GovernorCheck(const QueryGovernor* governor) {
   return governor->Check();
 }
 
-/// Amortizes GovernorCheckpoint over the rows of a serial inner loop. At
+/// Amortizes GovernorCheckpoint over the rows of a morsel-loop body. At
 /// threads=1 the morsel planner emits ONE covering morsel, so per-morsel
-/// checks alone would never fire mid-loop; quadratic-risk row loops (prefer
-/// evaluation) tick this instead, bounding cancellation latency to `period`
-/// rows even single-threaded.
+/// checks alone would never fire mid-loop; morsel bodies tick this per row
+/// (per probed pair in nested-loop joins), bounding cancellation latency to
+/// `period` rows even single-threaded.
 class GovernorTicker {
  public:
   explicit GovernorTicker(const QueryGovernor* governor,

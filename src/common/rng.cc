@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace prefdb {
 
@@ -22,23 +23,33 @@ bool Rng::Bernoulli(double p) {
   return dist(gen_);
 }
 
+const std::vector<double>& Rng::ZipfCdf(int64_t n, double s) {
+  auto hit = std::find_if(
+      zipf_tables_.begin(), zipf_tables_.end(),
+      [n, s](const ZipfTable& t) { return t.n == n && t.s == s; });
+  if (hit != zipf_tables_.end()) {
+    std::rotate(zipf_tables_.begin(), hit, hit + 1);
+    return zipf_tables_.front().cdf;
+  }
+  if (zipf_tables_.size() == kZipfTables) zipf_tables_.pop_back();
+  std::vector<double> cdf(static_cast<size_t>(n));
+  double sum = 0.0;
+  for (int64_t k = 1; k <= n; ++k) {
+    sum += 1.0 / std::pow(static_cast<double>(k), s);
+    cdf[static_cast<size_t>(k - 1)] = sum;
+  }
+  for (double& v : cdf) v /= sum;
+  zipf_tables_.insert(zipf_tables_.begin(), ZipfTable{n, s, std::move(cdf)});
+  return zipf_tables_.front().cdf;
+}
+
 int64_t Rng::Zipf(int64_t n, double s) {
   assert(n >= 1);
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(static_cast<size_t>(n));
-    double sum = 0.0;
-    for (int64_t k = 1; k <= n; ++k) {
-      sum += 1.0 / std::pow(static_cast<double>(k), s);
-      zipf_cdf_[static_cast<size_t>(k - 1)] = sum;
-    }
-    for (double& v : zipf_cdf_) v /= sum;
-  }
+  const std::vector<double>& cdf = ZipfCdf(n, s);
   double u = UniformReal(0.0, 1.0);
-  auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  if (it == zipf_cdf_.end()) --it;
-  return static_cast<int64_t>(it - zipf_cdf_.begin()) + 1;
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end()) --it;
+  return static_cast<int64_t>(it - cdf.begin()) + 1;
 }
 
 double Rng::Gaussian(double mean, double stddev) {

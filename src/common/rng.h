@@ -24,7 +24,9 @@ class Rng {
   bool Bernoulli(double p);
 
   /// Zipf-distributed rank in [1, n] with exponent `s` (s > 0). Rank 1 is the
-  /// most frequent. Uses an inverse-CDF table built lazily per (n, s).
+  /// most frequent. Uses an inverse-CDF table built lazily per (n, s); the
+  /// most recently used tables are kept, so generators that interleave a few
+  /// configurations build each table once.
   int64_t Zipf(int64_t n, double s);
 
   /// Gaussian draw with the given mean and standard deviation.
@@ -34,11 +36,20 @@ class Rng {
   std::mt19937_64& engine() { return gen_; }
 
  private:
+  struct ZipfTable {
+    int64_t n;
+    double s;
+    std::vector<double> cdf;
+  };
+  static constexpr size_t kZipfTables = 8;
+
+  // The inverse CDF of Zipf(n, s), built on a miss.
+  const std::vector<double>& ZipfCdf(int64_t n, double s);
+
   std::mt19937_64 gen_;
-  // Cached inverse-CDF for the last (n, s) Zipf configuration.
-  int64_t zipf_n_ = 0;
-  double zipf_s_ = 0.0;
-  std::vector<double> zipf_cdf_;
+  // Inverse-CDF tables of recent Zipf configurations, most recently used
+  // first; at most kZipfTables.
+  std::vector<ZipfTable> zipf_tables_;
 };
 
 }  // namespace prefdb

@@ -1,14 +1,9 @@
 #include "engine/executor.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/string_util.h"
-#include "parallel/morsel.h"
+#include "engine/kernels.h"
 
 namespace prefdb {
 
@@ -26,8 +21,8 @@ class Executor {
 
   StatusOr<Relation> Execute(const PlanNode& node, obs::Span* parent) {
     ++stats_->operator_invocations;
-    // Operator-entry checkpoint: bounds cancellation latency to one
-    // operator even when every region below takes the serial path.
+    // Operator-entry checkpoint: a governed query stops before starting
+    // another operator, whatever its regions' morsel shape.
     RETURN_IF_ERROR(GovernorCheck(parallel_));
     RETURN_IF_ERROR(FaultInjection::Global().Hit("exec.operator"));
     switch (node.kind) {
@@ -65,29 +60,28 @@ class Executor {
   }
 
  private:
-  // Partitioning decision for one operator region; counts regions that
-  // actually split. The ExecStats block and every span stay owned by the
-  // calling thread — worker slots only ever write their own per-morsel
-  // buffers, and the caller merges them in morsel order at the join point,
-  // so parallel output (rows, order, counters, trace) is bit-identical to
-  // serial execution.
-  MorselPlan PlanFor(size_t n) {
-    MorselPlan plan = MorselPlan::Make(n, parallel_);
-    if (!plan.serial()) Bump(metrics_.parallel_regions, 1);
-    return plan;
-  }
-
   static void Bump(obs::Counter* counter, size_t n) {
     if (counter != nullptr) counter->Increment(n);
   }
 
-  // The span the region's per-morsel slices attach to: the operator span at
-  // TraceLevel::kMorsel, null otherwise (ParallelForTraced degrades to a
-  // plain ParallelFor on null). A non-null result also forces serial plans
-  // through the buffered morsel path, so the single covering morsel gets
-  // its slice and the trace shape stays a pure function of the plan.
-  obs::Span* MorselParent(obs::Span* op_span) const {
-    return trace_level_ == obs::TraceLevel::kMorsel ? op_span : nullptr;
+  // The region an operator's kernel runs in; at TraceLevel::kMorsel the
+  // operator span `op_span` receives its per-morsel slices.
+  KernelRegion Region(obs::Span* op_span) const {
+    return {parallel_,
+            trace_level_ == obs::TraceLevel::kMorsel ? op_span : nullptr};
+  }
+
+  // Counts a kernel region that split into concurrent morsels. The
+  // ExecStats block and every span stay owned by the calling thread.
+  void CountRegion(const KernelRegion& region) {
+    if (!region.plan.serial()) Bump(metrics_.parallel_regions, 1);
+  }
+
+  // Charges an operator's output and records it on the operator's span.
+  Relation Produce(obs::Span* span, Relation out) {
+    stats_->tuples_materialized += out.NumRows();
+    obs::SetRowsOut(span, out.NumRows());
+    return out;
   }
 
   StatusOr<Relation> ExecScan(const PlanNode& node, const Expr* predicate,
@@ -115,9 +109,7 @@ class Executor {
       Bump(metrics_.scan_rows, rows.size());
       obs::SetRowsIn(scope.get(), rows.size());
       *out.mutable_rows() = rows;
-      stats_->tuples_materialized += out.NumRows();
-      obs::SetRowsOut(scope.get(), out.NumRows());
-      return out;
+      return Produce(scope.get(), std::move(out));
     }
 
     // Try an index scan: find an `col = literal` conjunct.
@@ -142,35 +134,13 @@ class Executor {
       stats_->rows_scanned += rows.size();
       Bump(metrics_.scan_rows, rows.size());
       obs::SetRowsIn(scope.get(), rows.size());
-      MorselPlan plan = PlanFor(rows.size());
-      obs::Span* morsel_parent = MorselParent(scope.get());
-      if (plan.serial() && morsel_parent == nullptr) {
-        for (const Tuple& row : rows) {
-          if (IsTruthy(bound->Eval(row))) out.AddRow(row);
-        }
-      } else {
-        // Bound expressions are immutable after Bind, so all slots share
-        // `bound`. Each morsel filters into its own buffer; concatenating
-        // the buffers in morsel order reproduces the serial row order.
-        std::vector<std::vector<Tuple>> kept(plan.morsel_count());
-        ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-          GovernorCheckpoint(parallel_);
-          std::vector<Tuple>& local = kept[m.index];
-          for (size_t i = m.begin; i < m.end; ++i) {
-            if (IsTruthy(bound->Eval(rows[i]))) local.push_back(rows[i]);
-          }
-        });
-        size_t total = 0;
-        for (const std::vector<Tuple>& local : kept) total += local.size();
-        out.Reserve(total);
-        for (std::vector<Tuple>& local : kept) {
-          for (Tuple& row : local) out.AddRow(std::move(row));
-        }
-      }
+      KernelRegion region = Region(scope.get());
+      RowIds kept = FilterRows(*bound, rows, &region);
+      CountRegion(region);
+      *out.mutable_rows() =
+          std::move(*TakeRows(table->relation(), kept).mutable_rows());
     }
-    stats_->tuples_materialized += out.NumRows();
-    obs::SetRowsOut(scope.get(), out.NumRows());
-    return out;
+    return Produce(scope.get(), std::move(out));
   }
 
   // Looks for an equality conjunct between a column of `schema` and a
@@ -207,15 +177,11 @@ class Executor {
     ASSIGN_OR_RETURN(Relation input, Execute(node.child(), scope.get()));
     ExprPtr bound = node.predicate->Clone();
     RETURN_IF_ERROR(bound->Bind(input.schema()));
-    Relation out(input.schema());
-    out.set_key_columns(input.key_columns());
     obs::SetRowsIn(scope.get(), input.NumRows());
-    for (Tuple& row : *input.mutable_rows()) {
-      if (IsTruthy(bound->Eval(row))) out.AddRow(std::move(row));
-    }
-    stats_->tuples_materialized += out.NumRows();
-    obs::SetRowsOut(scope.get(), out.NumRows());
-    return out;
+    KernelRegion region = Region(scope.get());
+    RowIds kept = FilterRows(*bound, input.rows(), &region);
+    CountRegion(region);
+    return Produce(scope.get(), TakeRows(std::move(input), kept));
   }
 
   StatusOr<Relation> ExecProject(const PlanNode& node, obs::Span* parent) {
@@ -224,49 +190,8 @@ class Executor {
     PlanShape input_shape{input.schema(), input.key_columns()};
     ASSIGN_OR_RETURN(ProjectionResolution res,
                      ResolveProjection(input_shape, node.project_columns));
-    Relation out(input.schema().Select(res.indices));
-    out.set_key_columns(res.key_positions);
-    out.Reserve(input.NumRows());
     obs::SetRowsIn(scope.get(), input.NumRows());
-    for (const Tuple& row : input.rows()) {
-      out.AddRow(ProjectTuple(row, res.indices));
-    }
-    stats_->tuples_materialized += out.NumRows();
-    obs::SetRowsOut(scope.get(), out.NumRows());
-    return out;
-  }
-
-  // Finds an equi-join conjunct `l = r` with l from the left schema and r
-  // from the right schema. Returns false if none exists.
-  static bool FindEquiConjunct(const Expr& predicate, const Schema& left,
-                               const Schema& right, std::string* left_col,
-                               std::string* right_col) {
-    if (predicate.kind() == ExprKind::kLogical) {
-      const auto& logical = static_cast<const LogicalExpr&>(predicate);
-      if (logical.op() != LogicalOp::kAnd) return false;
-      return FindEquiConjunct(logical.left(), left, right, left_col, right_col) ||
-             FindEquiConjunct(logical.right(), left, right, left_col, right_col);
-    }
-    if (predicate.kind() != ExprKind::kComparison) return false;
-    const auto& cmp = static_cast<const ComparisonExpr&>(predicate);
-    if (cmp.op() != CompareOp::kEq) return false;
-    if (cmp.left().kind() != ExprKind::kColumnRef ||
-        cmp.right().kind() != ExprKind::kColumnRef) {
-      return false;
-    }
-    const std::string& a = static_cast<const ColumnRefExpr&>(cmp.left()).name();
-    const std::string& b = static_cast<const ColumnRefExpr&>(cmp.right()).name();
-    if (left.HasColumn(a) && right.HasColumn(b)) {
-      *left_col = a;
-      *right_col = b;
-      return true;
-    }
-    if (left.HasColumn(b) && right.HasColumn(a)) {
-      *left_col = b;
-      *right_col = a;
-      return true;
-    }
-    return false;
+    return Produce(scope.get(), ProjectRows(input, res));
   }
 
   StatusOr<Relation> ExecJoin(const PlanNode& node, bool semi,
@@ -276,155 +201,27 @@ class Executor {
     ASSIGN_OR_RETURN(Relation left, Execute(node.child(0), scope.get()));
     ASSIGN_OR_RETURN(Relation right, Execute(node.child(1), scope.get()));
     obs::SetRowsIn(scope.get(), left.NumRows() + right.NumRows());
-
-    Schema combined = left.schema().Concat(right.schema());
-    ExprPtr bound = node.predicate->Clone();
-    RETURN_IF_ERROR(bound->Bind(combined));
-
-    Relation out(semi ? left.schema() : combined);
-    std::vector<size_t> keys = left.key_columns();
-    if (!semi) {
-      for (size_t k : right.key_columns()) keys.push_back(k + left.schema().size());
+    ASSIGN_OR_RETURN(JoinKernel join,
+                     JoinKernel::Make(*node.predicate, left.schema(),
+                                      right.schema()));
+    obs::AppendDetail(scope.get(), join.hash() ? "hash" : "nested_loop");
+    if (join.hash()) {
+      obs::SpanScope build_scope(scope.get(), "native.join.build");
+      obs::SetRowsIn(build_scope.get(), right.NumRows());
+      size_t keys = join.Build(right);
+      obs::SetRowsOut(build_scope.get(), keys);
+      Bump(metrics_.join_build_rows, right.NumRows());
     }
-    out.set_key_columns(std::move(keys));
-
-    const std::vector<Tuple>& lrows = left.rows();
-    const std::vector<Tuple>& rrows = right.rows();
-    std::string left_col;
-    std::string right_col;
-    if (FindEquiConjunct(*node.predicate, left.schema(), right.schema(),
-                         &left_col, &right_col)) {
-      // Hash join: build on the right input, probe with the left. The
-      // build stays serial — insertion order into the per-key postings
-      // lists is what makes the probe's match order (and therefore the
-      // output row order) deterministic; the probe is where the work is,
-      // and it parallelizes over morsels of the probe side.
-      obs::AppendDetail(scope.get(), "hash");
-      ASSIGN_OR_RETURN(size_t li, left.schema().FindColumn(left_col));
-      ASSIGN_OR_RETURN(size_t ri, right.schema().FindColumn(right_col));
-      std::unordered_map<Value, std::vector<uint32_t>, ValueHash> build;
-      {
-        obs::SpanScope build_scope(scope.get(), "native.join.build");
-        obs::SetRowsIn(build_scope.get(), rrows.size());
-        build.reserve(right.NumRows());
-        for (size_t i = 0; i < rrows.size(); ++i) {
-          build[rrows[i][ri]].push_back(static_cast<uint32_t>(i));
-        }
-        obs::SetRowsOut(build_scope.get(), build.size());
-        Bump(metrics_.join_build_rows, rrows.size());
-      }
-      obs::SpanScope probe_scope(scope.get(), "native.join.probe");
-      obs::SetRowsIn(probe_scope.get(), lrows.size());
-      Bump(metrics_.join_probe_rows, lrows.size());
-      MorselPlan plan = PlanFor(lrows.size());
-      obs::Span* morsel_parent = MorselParent(probe_scope.get());
-      if (plan.serial() && morsel_parent == nullptr) {
-        for (const Tuple& lrow : lrows) {
-          auto it = build.find(lrow[li]);
-          if (it == build.end()) continue;
-          for (uint32_t pos : it->second) {
-            Tuple joined = ConcatTuples(lrow, rrows[pos]);
-            if (!IsTruthy(bound->Eval(joined))) continue;
-            if (semi) {
-              out.AddRow(lrow);
-              break;  // Left tuple qualifies once.
-            }
-            out.AddRow(std::move(joined));
-          }
-        }
-      } else {
-        // Per-morsel match buffers over the probe side; the build table,
-        // both inputs and the bound predicate are read-only here.
-        // Concatenating the buffers in morsel order reproduces the serial
-        // output row order exactly.
-        std::vector<std::vector<Tuple>> buffers(plan.morsel_count());
-        ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-          GovernorCheckpoint(parallel_);
-          std::vector<Tuple>& local = buffers[m.index];
-          for (size_t i = m.begin; i < m.end; ++i) {
-            const Tuple& lrow = lrows[i];
-            auto it = build.find(lrow[li]);
-            if (it == build.end()) continue;
-            for (uint32_t pos : it->second) {
-              Tuple joined = ConcatTuples(lrow, rrows[pos]);
-              if (!IsTruthy(bound->Eval(joined))) continue;
-              if (semi) {
-                local.push_back(lrow);
-                break;
-              }
-              local.push_back(std::move(joined));
-            }
-          }
-        });
-        MergeBuffers(&buffers, &out);
-      }
-      obs::SetRowsOut(probe_scope.get(), out.NumRows());
-    } else {
-      // Nested-loop join; the probe side still morselizes.
-      obs::AppendDetail(scope.get(), "nested_loop");
-      obs::SpanScope probe_scope(scope.get(), "native.join.probe");
-      obs::SetRowsIn(probe_scope.get(), lrows.size());
-      Bump(metrics_.join_probe_rows, lrows.size());
-      MorselPlan plan = PlanFor(lrows.size());
-      obs::Span* morsel_parent = MorselParent(probe_scope.get());
-      if (plan.serial() && morsel_parent == nullptr) {
-        // Quadratic serial path: tick per probe so a single covering morsel
-        // cannot defer cancellation to the end of the cross product.
-        GovernorTicker ticker(parallel_ == nullptr ? nullptr
-                                                   : parallel_->governor);
-        for (const Tuple& lrow : lrows) {
-          bool matched = false;
-          for (const Tuple& rrow : rrows) {
-            ticker.Tick();
-            Tuple joined = ConcatTuples(lrow, rrow);
-            if (!IsTruthy(bound->Eval(joined))) continue;
-            if (semi) {
-              matched = true;
-              break;
-            }
-            out.AddRow(std::move(joined));
-          }
-          if (semi && matched) out.AddRow(lrow);
-        }
-      } else {
-        std::vector<std::vector<Tuple>> buffers(plan.morsel_count());
-        ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-          GovernorCheckpoint(parallel_);
-          std::vector<Tuple>& local = buffers[m.index];
-          for (size_t i = m.begin; i < m.end; ++i) {
-            const Tuple& lrow = lrows[i];
-            bool matched = false;
-            for (const Tuple& rrow : rrows) {
-              Tuple joined = ConcatTuples(lrow, rrow);
-              if (!IsTruthy(bound->Eval(joined))) continue;
-              if (semi) {
-                matched = true;
-                break;
-              }
-              local.push_back(std::move(joined));
-            }
-            if (semi && matched) local.push_back(lrow);
-          }
-        });
-        MergeBuffers(&buffers, &out);
-      }
-      obs::SetRowsOut(probe_scope.get(), out.NumRows());
-    }
-    stats_->tuples_materialized += out.NumRows();
-    obs::SetRowsOut(scope.get(), out.NumRows());
-    return out;
-  }
-
-  // Concatenates per-morsel row buffers into `out` in morsel order — the
-  // join point of every parallel region here.
-  static void MergeBuffers(std::vector<std::vector<Tuple>>* buffers,
-                           Relation* out) {
-    size_t total = 0;
-    for (const std::vector<Tuple>& local : *buffers) total += local.size();
-    out->Reserve(total);
-    for (std::vector<Tuple>& local : *buffers) {
-      for (Tuple& row : local) out->AddRow(std::move(row));
-    }
+    obs::SpanScope probe_scope(scope.get(), "native.join.probe");
+    obs::SetRowsIn(probe_scope.get(), left.NumRows());
+    Bump(metrics_.join_probe_rows, left.NumRows());
+    KernelRegion region = Region(probe_scope.get());
+    Relation out =
+        semi ? TakeRows(std::move(left), join.SemiJoin(left, right, &region))
+             : join.Join(left, right, &region, /*lineage=*/nullptr);
+    CountRegion(region);
+    obs::SetRowsOut(probe_scope.get(), out.NumRows());
+    return Produce(scope.get(), std::move(out));
   }
 
   static const char* SetOpSpanName(PlanKind kind) {
@@ -448,65 +245,16 @@ class Executor {
       return Status::InvalidArgument("set operation inputs differ in arity");
     }
     obs::SetRowsIn(scope.get(), left.NumRows() + right.NumRows());
-    Relation out(left.schema());
-    out.set_key_columns(left.key_columns());
-    std::unordered_set<Tuple, TupleHash, TupleEq> seen;
-    switch (node.kind) {
-      case PlanKind::kUnion: {
-        // First-occurrence-wins duplicate elimination is inherently
-        // sequential (each insert decides the next); the union stays a
-        // serial pass over both inputs.
-        for (const Relation* rel : {&left, &right}) {
-          for (const Tuple& row : rel->rows()) {
-            if (seen.insert(row).second) out.AddRow(row);
-          }
-        }
-        break;
-      }
-      case PlanKind::kIntersect:
-      case PlanKind::kExcept: {
-        // Membership of each left row in the right side is a pure hash
-        // probe, so it precomputes in concurrent morsels; the
-        // (order-dependent) duplicate-elimination emit stays serial and
-        // consumes the flags in input order — same rows, same order, as
-        // the serial probe-inside-the-loop.
-        std::unordered_set<Tuple, TupleHash, TupleEq> right_set(
-            right.rows().begin(), right.rows().end());
-        const bool want_member = node.kind == PlanKind::kIntersect;
-        const std::vector<Tuple>& lrows = left.rows();
-        Bump(metrics_.setop_probe_rows, lrows.size());
-        MorselPlan plan = PlanFor(lrows.size());
-        obs::Span* morsel_parent = MorselParent(scope.get());
-        if (plan.serial() && morsel_parent == nullptr) {
-          for (const Tuple& row : lrows) {
-            if ((right_set.count(row) > 0) == want_member &&
-                seen.insert(row).second) {
-              out.AddRow(row);
-            }
-          }
-        } else {
-          std::vector<uint8_t> member(lrows.size(), 0);
-          ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-            GovernorCheckpoint(parallel_);
-            for (size_t i = m.begin; i < m.end; ++i) {
-              member[i] = right_set.count(lrows[i]) > 0 ? 1 : 0;
-            }
-          });
-          for (size_t i = 0; i < lrows.size(); ++i) {
-            if ((member[i] != 0) == want_member &&
-                seen.insert(lrows[i]).second) {
-              out.AddRow(lrows[i]);
-            }
-          }
-        }
-        break;
-      }
-      default:
-        return Status::Internal("not a set operation");
+    // UNION needs no membership probe (first occurrence wins over both
+    // inputs); INTERSECT and EXCEPT probe every left row.
+    if (node.kind != PlanKind::kUnion) {
+      Bump(metrics_.setop_probe_rows, left.NumRows());
     }
-    stats_->tuples_materialized += out.NumRows();
-    obs::SetRowsOut(scope.get(), out.NumRows());
-    return out;
+    KernelRegion region = Region(scope.get());
+    Relation out =
+        SetOpRows(node.kind, left, right, &region, /*lineage=*/nullptr);
+    CountRegion(region);
+    return Produce(scope.get(), std::move(out));
   }
 
   StatusOr<Relation> ExecDistinct(const PlanNode& node, obs::Span* parent) {
@@ -514,98 +262,26 @@ class Executor {
     ASSIGN_OR_RETURN(Relation input, Execute(node.child(), scope.get()));
     obs::SetRowsIn(scope.get(), input.NumRows());
     Bump(metrics_.distinct_rows, input.NumRows());
-    Relation out(input.schema());
-    out.set_key_columns(input.key_columns());
-    MorselPlan plan = PlanFor(input.NumRows());
-    obs::Span* morsel_parent = MorselParent(scope.get());
-    if (plan.serial() && morsel_parent == nullptr) {
-      std::unordered_set<Tuple, TupleHash, TupleEq> seen;
-      seen.reserve(input.NumRows());
-      for (Tuple& row : *input.mutable_rows()) {
-        if (seen.insert(row).second) out.AddRow(std::move(row));
-      }
-    } else {
-      // Whole-tuple hashing (the expensive part of deduplication)
-      // precomputes in concurrent morsels; the serial emit then resolves
-      // each row against its hash bucket's previously emitted candidates,
-      // preserving first-occurrence-wins order exactly.
-      std::vector<Tuple>& rows = *input.mutable_rows();
-      std::vector<size_t> hashes(rows.size());
-      ParallelForTraced(plan, morsel_parent, [&](size_t, const Morsel& m) {
-        GovernorCheckpoint(parallel_);
-        for (size_t i = m.begin; i < m.end; ++i) {
-          hashes[i] = TupleHash()(rows[i]);
-        }
-      });
-      std::unordered_map<size_t, std::vector<uint32_t>> buckets;
-      buckets.reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        std::vector<uint32_t>& candidates = buckets[hashes[i]];
-        bool duplicate = false;
-        for (uint32_t pos : candidates) {
-          if (TupleEq()(out.rows()[pos], rows[i])) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) {
-          candidates.push_back(static_cast<uint32_t>(out.NumRows()));
-          out.AddRow(std::move(rows[i]));
-        }
-      }
-    }
-    stats_->tuples_materialized += out.NumRows();
-    obs::SetRowsOut(scope.get(), out.NumRows());
-    return out;
+    KernelRegion region = Region(scope.get());
+    RowIds kept = DistinctRows(input.rows(), &region);
+    CountRegion(region);
+    return Produce(scope.get(), TakeRows(std::move(input), kept));
   }
 
   StatusOr<Relation> ExecSort(const PlanNode& node, obs::Span* parent) {
     obs::SpanScope scope(parent, "native.sort");
     ASSIGN_OR_RETURN(Relation input, Execute(node.child(), scope.get()));
     obs::SetRowsIn(scope.get(), input.NumRows());
-    struct ResolvedKey {
-      size_t index;
-      bool descending;
-    };
-    std::vector<ResolvedKey> keys;
-    keys.reserve(node.sort_keys.size());
-    for (const SortKey& k : node.sort_keys) {
-      ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(k.column));
-      keys.push_back({idx, k.descending});
-    }
-    // Stable sort with a tie-break on the relation key: equal-key runs keep
-    // their input order *and* the order (plus any LIMIT cutoff above) is
-    // deterministic regardless of how upstream operators ordered the input.
-    // Value::Compare is a strict total order including NULL and NaN, which
-    // std::stable_sort requires (UB otherwise) — see Value::Compare.
-    const std::vector<size_t>& pk = input.key_columns();
-    std::stable_sort(input.mutable_rows()->begin(), input.mutable_rows()->end(),
-                     [&keys, &pk](const Tuple& a, const Tuple& b) {
-                       for (const ResolvedKey& k : keys) {
-                         int c = a[k.index].Compare(b[k.index]);
-                         if (c != 0) return k.descending ? c > 0 : c < 0;
-                       }
-                       for (size_t k : pk) {
-                         int c = a[k].Compare(b[k]);
-                         if (c != 0) return c < 0;
-                       }
-                       return false;
-                     });
-    stats_->tuples_materialized += input.NumRows();
-    obs::SetRowsOut(scope.get(), input.NumRows());
-    return input;
+    RETURN_IF_ERROR(SortRows(node.sort_keys, &input));
+    return Produce(scope.get(), std::move(input));
   }
 
   StatusOr<Relation> ExecLimit(const PlanNode& node, obs::Span* parent) {
     obs::SpanScope scope(parent, "native.limit");
     ASSIGN_OR_RETURN(Relation input, Execute(node.child(), scope.get()));
     obs::SetRowsIn(scope.get(), input.NumRows());
-    if (input.NumRows() > node.limit) {
-      input.mutable_rows()->resize(node.limit);
-    }
-    stats_->tuples_materialized += input.NumRows();
-    obs::SetRowsOut(scope.get(), input.NumRows());
-    return input;
+    RowIds kept = LimitRows(node.limit, input.NumRows());
+    return Produce(scope.get(), TakeRows(std::move(input), kept));
   }
 
   Catalog* catalog_;

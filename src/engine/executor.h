@@ -36,10 +36,8 @@ struct NativeExecOptions {
   const NativeExecMetrics* metrics = nullptr; // null = no metrics.
   /// At TraceLevel::kMorsel (and with `span` set) every morselized region
   /// additionally records one "morsel[i]" child per morsel, adopted in
-  /// morsel order (see obs::TraceLevel). At threads=1 the region routes
-  /// through the same buffered path with its single covering morsel, so
-  /// the untimed trace stays byte-identical run to run and the output rows
-  /// remain bit-identical to the serial path.
+  /// morsel order (see obs::TraceLevel). At threads=1 that is the single
+  /// covering morsel, so the untimed trace stays byte-identical run to run.
   obs::TraceLevel trace_level = obs::TraceLevel::kOperator;
 };
 
@@ -47,18 +45,20 @@ struct NativeExecOptions {
 /// materializing every operator's output — the substrate's stand-in for the
 /// black-box DBMS executor of the paper's prototype.
 ///
-/// Physical behaviour:
+/// Each operator executes its children, runs the engine's kernel for it
+/// (engine/kernels.h — the same kernels the p-operators build on), and
+/// accounts its ExecStats, span and metrics. Physical behaviour:
 ///   * Select-over-Scan is fused; an equality conjunct on an indexed base
 ///     column uses the table's hash index instead of a full scan.
 ///   * Joins use a hash join when an equi-conjunct links the two sides,
 ///     falling back to a nested-loop join otherwise.
 ///   * Set operations and DISTINCT use whole-tuple hashing.
 ///
-/// Under a parallel context the hot operators evaluate in concurrent
-/// morsels with morsel-order merges — full-scan predicate filtering, the
-/// join probe phase (the build stays serial), set-operation membership
-/// probes and DISTINCT hashing — so the output rows, their order, and every
-/// ExecStats counter are bit-identical to serial execution (DESIGN.md §12).
+/// The kernels' hot loops — predicate filtering, the join probe (the build
+/// stays serial), set-operation membership probes and DISTINCT hashing —
+/// run over the morsels of the parallel context with morsel-order merges,
+/// so the output rows, their order, and every ExecStats counter are the
+/// same at every thread count (DESIGN.md §12).
 /// With a span, each operator records a `native.*` child span carrying its
 /// cardinalities; the annotations are scheduling-independent, so the traced
 /// subtree is also identical at every thread count.
@@ -69,7 +69,7 @@ StatusOr<Relation> ExecutePlan(const PlanNode& node, Catalog* catalog,
                                ExecStats* stats,
                                const NativeExecOptions& options);
 
-/// Serial, untraced convenience overload (the pre-parallel signature).
+/// Serial, untraced convenience overload.
 StatusOr<Relation> ExecutePlan(const PlanNode& node, Catalog* catalog,
                                ExecStats* stats);
 

@@ -3,6 +3,7 @@
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "engine/kernels.h"
 #include "exec/personalize.h"
 #include "obs/metric_names.h"
 #include "palgebra/filters.h"
@@ -27,12 +28,7 @@ StatusOr<Relation> FinalProjection(Relation scored,
   indices.push_back(score_idx);
   indices.push_back(conf_idx);
 
-  Relation out(scored.schema().Select(indices));
-  out.Reserve(scored.NumRows());
-  for (const Tuple& row : scored.rows()) {
-    out.AddRow(ProjectTuple(row, indices));
-  }
-  return out;
+  return ProjectRows(scored, ProjectionResolution{std::move(indices), {}});
 }
 
 }  // namespace

@@ -18,17 +18,21 @@ namespace prefdb {
 /// prototype: they run in the middle layer, outside the native engine,
 /// against materialized inputs.
 ///
-/// All operators maintain the score relations: only non-default pairs are
-/// stored, keys follow the relation's canonical key order, and binary
-/// operators combine pairs with the aggregate function `F`.
+/// Each relational p-operator is the engine's kernel (engine/kernels.h) —
+/// the same filter, join, set-operation, distinct, sort and limit code the
+/// native executor runs — followed by a score fold: every output row's pair
+/// is computed from the kernel's lineage (the input row(s) it came from),
+/// combining pairs with the aggregate function `F` where two inputs meet.
+/// Only non-default pairs are stored, and keys follow the relation's
+/// canonical key order.
 ///
-/// Operators with a per-tuple hot loop — selection, prefer, the join probe
-/// phase, the set operations' membership checks, and the score carry-over
-/// of tuple-dropping operators — accept an optional ParallelContext and
-/// evaluate the input in concurrent morsels when it is non-null and
-/// non-serial; per-morsel partial results are merged in morsel order, so
-/// output is deterministic for a fixed context. Passing nullptr (or a
-/// serial context) takes the original single-threaded code path.
+/// Operators with a per-tuple hot loop — selection, prefer, the join probe,
+/// the set operations' membership checks, and every score fold — accept an
+/// optional ParallelContext (null = serial) and run the loop over its
+/// morsels; per-morsel partial results are merged in morsel order, so rows,
+/// their order and the score relation are the same at every thread count.
+/// A serial context runs one covering morsel inline: there is no separate
+/// serial code path.
 ///
 /// Every operator also accepts an optional trace span (obs/trace.h). When
 /// non-null, the operator annotates it with input/output cardinalities and
@@ -36,9 +40,8 @@ namespace prefdb {
 /// each operator call in a SpanScope). A null span costs one pointer test.
 
 /// σ_φ over a p-relation: hard boolean filter; surviving tuples keep their
-/// pairs (score entries of dropped tuples are pruned). Parallel evaluation
-/// preserves the input row order exactly (morsel outputs are concatenated
-/// in order), so results are bit-identical to serial execution.
+/// pairs (score entries of dropped tuples are pruned) and their input
+/// order.
 StatusOr<PRelation> PSelect(const Expr& predicate, const PRelation& input,
                             ExecStats* stats,
                             const ParallelContext* parallel = nullptr,
@@ -52,10 +55,8 @@ StatusOr<PRelation> PProject(const std::vector<std::string>& columns,
 
 /// Inner join ⋈_{φ,F}: joins tuples and combines their pairs with `F`
 /// (paper Fig. 3). The output key is the concatenation of the input keys.
-/// Parallel evaluation morselizes the probe side (the hash build stays
-/// serial): each morsel emits its joined rows and combined pairs into
-/// local buffers, concatenated in morsel order — row order and the score
-/// relation are bit-identical to serial execution.
+/// The probe side is morselized (the hash build stays serial), and so is
+/// the fold of each joined row's two input pairs.
 StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           const PRelation& right, const AggregateFunction& agg,
                           ExecStats* stats,
@@ -63,18 +64,18 @@ StatusOr<PRelation> PJoin(const Expr& predicate, const PRelation& left,
                           obs::Span* span = nullptr);
 
 /// Left semijoin ⋉_φ: keeps left tuples with at least one match; left pairs
-/// are kept unchanged (the right side only qualifies tuples). Parallel
-/// evaluation morselizes the left-side probe like PJoin.
+/// are kept unchanged (the right side only qualifies tuples). The left-side
+/// probe is morselized like PJoin's.
 StatusOr<PRelation> PSemiJoin(const Expr& predicate, const PRelation& left,
                               const PRelation& right, ExecStats* stats,
                               const ParallelContext* parallel = nullptr,
                               obs::Span* span = nullptr);
 
 /// Set union ∪_F with duplicate elimination; pairs of tuples present in
-/// both inputs are combined with `F`. Parallel evaluation precomputes the
-/// left side's membership probes against the right-side hash set in
-/// concurrent morsels; duplicate elimination (inherently sequential —
-/// first occurrence wins) stays serial over the precomputed flags.
+/// both inputs are combined with `F`. The left side's membership probes
+/// against the right input run over morsels; duplicate elimination
+/// (inherently sequential — first occurrence wins) stays serial over the
+/// precomputed flags.
 StatusOr<PRelation> PUnion(const PRelation& left, const PRelation& right,
                            const AggregateFunction& agg, ExecStats* stats,
                            const ParallelContext* parallel = nullptr,
@@ -116,12 +117,12 @@ StatusOr<PRelation> PLimit(size_t n, const PRelation& input, ExecStats* stats,
 /// `catalog` is needed only for membership preferences (to probe the member
 /// relation); it may be null otherwise.
 ///
-/// Parallel evaluation exploits that the prefer operator is a tuple-local
-/// scoring pass and `F` is associative with identity ⟨⊥, 0⟩ (paper §IV-A):
-/// each morsel folds its tuples' contributions into a local score relation
-/// starting from the identity, and the partials are merged into the input
-/// pairs in morsel order. Equal to serial evaluation up to floating-point
-/// association (the same latitude the strategy contract already grants).
+/// The scoring pass is tuple-local and `F` is associative with identity
+/// ⟨⊥, 0⟩ (paper §IV-A): the first morsel folds into the output pairs in
+/// place, later morsels into partials merged in morsel order. Serially this
+/// is one in-place pass; in parallel it equals it up to floating-point
+/// association (exactly when keys are unique), the latitude the strategy
+/// contract already grants.
 StatusOr<PRelation> EvalPrefer(const Preference& pref, const PRelation& input,
                                const AggregateFunction& agg,
                                const Catalog* catalog, ExecStats* stats,

@@ -34,13 +34,14 @@ class MorselPlan {
   static MorselPlan Make(size_t n, const ParallelContext& ctx);
 
   /// Pointer-taking convenience for operators whose parallelism is optional
-  /// plumbing: a null context means "serial". The p-operators and the
-  /// native executor both partition through this entry point.
+  /// plumbing: a null context means "serial". The kernels, the score folds
+  /// and the prefer operator all partition through this entry point.
   static MorselPlan Make(size_t n, const ParallelContext* ctx);
 
-  /// True when the region should run inline on the calling thread. Serial
-  /// plans are executed by the *caller's original code path*, keeping
-  /// threads=1 results bit-identical to pre-parallel builds.
+  /// True when the region runs inline on the calling thread: ParallelFor
+  /// then calls the same body for the single covering morsel, so serial
+  /// and parallel execution share one code path. Operators consult it
+  /// only to label spans and count parallel regions.
   bool serial() const { return slots_ <= 1; }
 
   /// Number of concurrent worker slots (1 for serial plans; otherwise

@@ -9,13 +9,14 @@
 namespace prefdb {
 
 /// Intra-query parallelism knobs, plumbed from the session's QueryOptions
-/// through the Engine into the operators that support morsel-driven
-/// evaluation (prefer, selection) and into the strategies that can issue
-/// engine queries concurrently (the plug-ins).
+/// through the Engine into the morsel-driven operators (the engine's
+/// kernels, the p-operators' score folds, prefer) and into the strategies
+/// that evaluate subtrees or issue engine queries concurrently.
 ///
-/// The default is serial execution (`threads == 1`), which takes exactly
-/// the pre-parallel code paths and is therefore bit-identical run to run —
-/// the reproducibility baseline the equivalence tests compare against.
+/// The default is serial execution (`threads == 1`): every region plans one
+/// covering morsel that runs inline on the calling thread — the same code
+/// the parallel regions run — and is bit-identical run to run, the
+/// reproducibility baseline the equivalence tests compare against.
 struct ParallelContext {
   /// Maximum number of concurrent worker slots per parallel region.
   /// 0 means "use the hardware concurrency"; 1 means serial.
@@ -42,7 +43,7 @@ struct ParallelContext {
   /// `threads` with 0 resolved to the hardware concurrency (at least 1).
   size_t ResolvedThreads() const;
 
-  /// True when this context always takes the serial path.
+  /// True when this context always runs its regions inline.
   bool IsSerial() const { return ResolvedThreads() <= 1; }
 
   static ParallelContext Serial() { return ParallelContext(); }
@@ -55,14 +56,8 @@ struct ParallelContext {
   std::string ToString() const;
 };
 
-/// Checkpoint through an optional context — operators receive their
-/// ParallelContext as a possibly-null pointer, so this overload folds the
-/// double null test into one call.
-inline void GovernorCheckpoint(const ParallelContext* ctx) {
-  if (ctx != nullptr) GovernorCheckpoint(ctx->governor);
-}
-
-/// Status-returning variant for operator-entry checks.
+/// Operator-entry governor check through an optional context — operators
+/// receive their ParallelContext as a possibly-null pointer.
 inline Status GovernorCheck(const ParallelContext* ctx) {
   return ctx == nullptr ? Status::OK() : GovernorCheck(ctx->governor);
 }

@@ -1,5 +1,11 @@
+#include <algorithm>
+#include <cinttypes>
+#include <cstdint>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "common/string_util.h"
 #include "datagen/dblp_gen.h"
 #include "datagen/imdb_gen.h"
 #include "gtest/gtest.h"
@@ -16,6 +22,46 @@ void ExpectUniqueKeys(Catalog& catalog, const std::string& table_name) {
     EXPECT_TRUE(keys.insert(std::move(key)).second)
         << table_name << " has duplicate key in row " << TupleToString(row);
   }
+}
+
+// FNV-1a over a canonical rendering of every row of every table, tables in
+// name order. Doubles render with 17 significant digits and strings with
+// their length, so the hash pins the generated catalog exactly and does not
+// depend on the standard library's std::hash.
+uint64_t CatalogHash(const Catalog& catalog) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const std::string& bytes) {
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ull;
+    }
+  };
+  std::vector<std::string> names = catalog.TableNames();
+  std::sort(names.begin(), names.end());
+  for (const std::string& name : names) {
+    const Table* table = *catalog.GetTable(name);
+    mix("#" + name + "\n");
+    for (const Tuple& row : table->relation().rows()) {
+      for (const Value& v : row) {
+        switch (v.type()) {
+          case ValueType::kNull:
+            mix("N|");
+            break;
+          case ValueType::kInt:
+            mix(StrFormat("I%" PRId64 "|", v.AsInt()));
+            break;
+          case ValueType::kDouble:
+            mix(StrFormat("D%.17g|", v.AsDouble()));
+            break;
+          case ValueType::kString:
+            mix(StrFormat("S%zu:", v.AsString().size()) + v.AsString() + "|");
+            break;
+        }
+      }
+      mix("\n");
+    }
+  }
+  return h;
 }
 
 class ImdbGenTest : public ::testing::Test {
@@ -116,6 +162,27 @@ TEST_F(ImdbGenTest, DeterministicInSeed) {
   for (size_t i = 0; i < ta->NumRows(); ++i) {
     ASSERT_TRUE(TupleEq()(ta->relation().rows()[i], tb->relation().rows()[i]));
   }
+}
+
+// Golden catalogs: a change to the generators or to the random draws they
+// consume (Rng::Zipf's CDF cache included) must leave these bytes alone, or
+// every recorded experiment silently changes its input.
+TEST(DatagenGoldenTest, ImdbCatalogHashIsPinned) {
+  ImdbOptions options;
+  options.scale = 0.001;
+  options.seed = 42;
+  auto catalog = GenerateImdb(options);
+  ASSERT_TRUE(catalog.ok());
+  EXPECT_EQ(CatalogHash(*catalog), 0x9eb42d0a5725ff66ull);
+}
+
+TEST(DatagenGoldenTest, DblpCatalogHashIsPinned) {
+  DblpOptions options;
+  options.scale = 0.001;
+  options.seed = 42;
+  auto catalog = GenerateDblp(options);
+  ASSERT_TRUE(catalog.ok());
+  EXPECT_EQ(CatalogHash(*catalog), 0xa035a07852857651ull);
 }
 
 class DblpGenTest : public ::testing::Test {

@@ -24,6 +24,8 @@
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 #include "obs/trace.h"
+#include "palgebra/p_ops.h"
+#include "prefs/agg_func.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -382,6 +384,22 @@ Catalog* NativeOpCatalog() {
     options.seed = 7;
     auto catalog = GenerateImdb(options);
     EXPECT_TRUE(catalog.ok());
+    // MOVIES_DUP repeats every post-2000 movie right after itself, so set
+    // operations over it see duplicate left rows (first occurrence wins).
+    Table* movies = *catalog->GetTable("MOVIES");
+    std::vector<Tuple> dup_rows;
+    for (const Tuple& row : movies->relation().rows()) {
+      dup_rows.push_back(row);
+      if (row[2].AsInt() >= 2000) dup_rows.push_back(row);
+    }
+    std::vector<std::string> key;
+    for (size_t k : movies->relation().key_columns()) {
+      key.push_back(movies->schema().column(k).name);
+    }
+    EXPECT_TRUE(catalog
+                    ->CreateTable("MOVIES_DUP", movies->schema(),
+                                  std::move(dup_rows), std::move(key))
+                    .ok());
     return new Catalog(std::move(*catalog));
   }();
   return instance;
@@ -407,12 +425,13 @@ NativeRun RunNativePlan(const PlanNode& plan, size_t threads) {
   return run;
 }
 
-TEST(NativeOperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
+struct PlanCase {
+  const char* name;
+  PlanPtr plan;
+};
+
+std::vector<PlanCase> NativeOperatorCases() {
   using namespace eb;  // NOLINT
-  struct PlanCase {
-    const char* name;
-    PlanPtr plan;
-  };
   std::vector<PlanCase> cases;
   cases.push_back({"scan_filter",
                    plan::Select(Ge(Col("year"), Lit(int64_t{1990})),
@@ -473,6 +492,35 @@ TEST(NativeOperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
                                   plan::Select(Ge(Col("year"), Lit(int64_t{1990})),
                                                plan::Scan("MOVIES"))))});
 
+  // Set operations whose left input repeats rows, and a nested-loop
+  // semi-join with a scored left input in the p-operator parity check.
+  cases.push_back(
+      {"union_duplicate_left",
+       plan::Union(plan::Scan("MOVIES_DUP"),
+                   plan::Select(Le(Col("year"), Lit(int64_t{2005})),
+                                plan::Scan("MOVIES")))});
+  cases.push_back(
+      {"intersect_duplicate_left",
+       plan::Intersect(plan::Scan("MOVIES_DUP"),
+                       plan::Select(Ge(Col("year"), Lit(int64_t{2003})),
+                                    plan::Scan("MOVIES")))});
+  cases.push_back(
+      {"except_duplicate_left",
+       plan::Except(plan::Scan("MOVIES_DUP"),
+                    plan::Select(Le(Col("year"), Lit(int64_t{2005})),
+                                 plan::Scan("MOVIES")))});
+  cases.push_back(
+      {"nested_loop_semi_join_scored_left",
+       plan::SemiJoin(Lt(Col("DIRECTORS.d_id"), Col("MOVIES.d_id")),
+                      plan::Select(Le(Col("d_id"), Lit(int64_t{20})),
+                                   plan::Scan("DIRECTORS")),
+                      plan::Select(Ge(Col("year"), Lit(int64_t{2005})),
+                                   plan::Scan("MOVIES")))});
+  return cases;
+}
+
+TEST(NativeOperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
+  std::vector<PlanCase> cases = NativeOperatorCases();
   for (const PlanCase& c : cases) {
     NativeRun serial = RunNativePlan(*c.plan, 1);
     EXPECT_NE(serial.trace.find("native."), std::string::npos) << c.name;
@@ -493,6 +541,148 @@ TEST(NativeOperatorEquivalenceTest, OperatorsBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.trace, serial.trace)
           << c.name << " threads=" << threads
           << ": native span tree differs from serial";
+    }
+  }
+}
+
+// Layer parity: a p-operator is the native kernel plus a score fold, so
+// every plan case above, run through the p-operator of its root on the
+// natively executed children (each given a non-empty score relation by a
+// prefer pass), must produce the native serial rows, in the same order,
+// with the same key columns — and its score relation and
+// score_entries_written must not depend on the thread count.
+
+const AggregateFunction& ParityAggregate() {
+  return **GetAggregateFunction("wsum");
+}
+
+// The natively executed `child`, scored by a preference on its first key
+// column: rows with a key above 5 get a key-dependent score, so lineage
+// mix-ups show as wrong pairs.
+PRelation ScoredChild(const PlanNode& child, double confidence) {
+  using namespace eb;  // NOLINT
+  ExecStats stats;
+  auto rel = ExecutePlan(child, NativeOpCatalog(), &stats);
+  EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+  PRelation input(std::move(*rel));
+  const Relation& r = input.rel;
+  std::string key = r.schema().column(r.key_columns()[0]).FullName();
+  PreferencePtr pref = Preference::Generic(
+      "parity", "R", Gt(Col(key), Lit(int64_t{5})),
+      ScoringFunction(Div(Col(key), Lit(1e5))), confidence);
+  auto scored = EvalPrefer(*pref, input, ParityAggregate(), NativeOpCatalog(),
+                           &stats);
+  EXPECT_TRUE(scored.ok()) << scored.status().ToString();
+  EXPECT_FALSE(scored->scores.empty());
+  return std::move(*scored);
+}
+
+StatusOr<PRelation> RunPOperator(const PlanNode& node,
+                                 const std::vector<PRelation>& in,
+                                 ExecStats* stats,
+                                 const ParallelContext* parallel) {
+  const AggregateFunction& agg = ParityAggregate();
+  switch (node.kind) {
+    case PlanKind::kSelect:
+      return PSelect(*node.predicate, in[0], stats, parallel);
+    case PlanKind::kJoin:
+      return PJoin(*node.predicate, in[0], in[1], agg, stats, parallel);
+    case PlanKind::kSemiJoin:
+      return PSemiJoin(*node.predicate, in[0], in[1], stats, parallel);
+    case PlanKind::kUnion:
+      return PUnion(in[0], in[1], agg, stats, parallel);
+    case PlanKind::kIntersect:
+      return PIntersect(in[0], in[1], agg, stats, parallel);
+    case PlanKind::kExcept:
+      return PDiff(in[0], in[1], stats, parallel);
+    case PlanKind::kDistinct:
+      return PDistinct(in[0], stats);
+    case PlanKind::kSort:
+      return PSort(node.sort_keys, in[0], stats);
+    case PlanKind::kLimit:
+      return PLimit(node.limit, in[0], stats);
+    default:
+      return Status::Unimplemented("no parity case for this operator");
+  }
+}
+
+void ExpectSameScores(const ScoreRelation& actual,
+                      const ScoreRelation& expected, const std::string& what) {
+  EXPECT_EQ(actual.size(), expected.size()) << what;
+  for (const auto& [key, pair] : actual.entries()) {
+    const ScoreConf& want = expected.Lookup(key);
+    EXPECT_TRUE(pair == want && pair.count() == want.count())
+        << what << ": key " << TupleToString(key) << " has " << pair.ToString()
+        << ", threads=1 has " << want.ToString();
+  }
+}
+
+// The pair the paper's definitions give output row `row` of the root
+// operator `kind` over `in`: a joined tuple combines its two input pairs, a
+// set-operation tuple combines the pairs it has in either input, and every
+// other operator keeps the input tuple's pair.
+ScoreConf DefinedPair(PlanKind kind, const std::vector<PRelation>& in,
+                      const Tuple& row) {
+  const AggregateFunction& agg = ParityAggregate();
+  if (kind == PlanKind::kJoin) {
+    size_t split = in[0].rel.schema().size();
+    Tuple lrow(row.begin(), row.begin() + split);
+    Tuple rrow(row.begin() + split, row.end());
+    return CombineCounted(agg, in[0].ScoreOf(lrow), in[1].ScoreOf(rrow));
+  }
+  if (kind == PlanKind::kUnion || kind == PlanKind::kIntersect) {
+    auto contains = [&row](const PRelation& p) {
+      for (const Tuple& r : p.rel.rows()) {
+        if (r == row) return true;
+      }
+      return false;
+    };
+    ScoreConf pair;
+    for (const PRelation& p : in) {
+      if (contains(p)) pair = CombineCounted(agg, pair, p.ScoreOf(row));
+    }
+    return pair;
+  }
+  return in[0].ScoreOf(row);
+}
+
+TEST(NativeOperatorEquivalenceTest, POperatorsMatchNativeKernels) {
+  for (const PlanCase& c : NativeOperatorCases()) {
+    NativeRun native = RunNativePlan(*c.plan, 1);
+    std::vector<PRelation> inputs;
+    for (size_t i = 0; i < c.plan->children.size(); ++i) {
+      inputs.push_back(ScoredChild(c.plan->child(i), 0.8 - 0.3 * i));
+    }
+    PRelation reference;
+    ExecStats reference_stats;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      ParallelContext ctx = ForcedContext(threads);
+      ExecStats stats;
+      auto out = RunPOperator(*c.plan, inputs, &stats, &ctx);
+      ASSERT_TRUE(out.ok()) << c.name << ": " << out.status().ToString();
+      std::string what = std::string(c.name) + " threads=" +
+                         std::to_string(threads);
+      EXPECT_EQ(out->rel.rows(), native.rel.rows())
+          << what << ": p-operator rows (or their order) differ from native";
+      EXPECT_EQ(out->rel.key_columns(), native.rel.key_columns()) << what;
+      if (threads == 1) {
+        for (const Tuple& row : out->rel.rows()) {
+          ScoreConf want = DefinedPair(c.plan->kind, inputs, row);
+          const ScoreConf& got = out->ScoreOf(row);
+          ASSERT_TRUE(got == want && got.count() == want.count())
+              << what << ": row " << TupleToString(row) << " has "
+              << got.ToString() << ", expected " << want.ToString();
+        }
+        reference = std::move(*out);
+        reference_stats = stats;
+        continue;
+      }
+      ExpectSameScores(out->scores, reference.scores, what);
+      EXPECT_EQ(stats.score_entries_written,
+                reference_stats.score_entries_written)
+          << what;
+      EXPECT_EQ(stats.tuples_materialized, reference_stats.tuples_materialized)
+          << what;
     }
   }
 }
